@@ -34,6 +34,7 @@ use smc_memory::epoch::Guard;
 use smc_memory::error::MemError;
 use smc_memory::inspect::HeapSnapshot;
 use smc_memory::runtime::Runtime;
+use smc_memory::scan::scan_rows;
 use smc_memory::slot::{SlotId, SlotState};
 use smc_memory::stats::MemoryStats;
 use smc_memory::tabular::Tabular;
@@ -197,7 +198,9 @@ impl<T: Tabular> Smc<T> {
 
     /// Applies `f` to every live object — the collection's compiled-query
     /// enumeration loop (§4): block by block, skipping dead slots through
-    /// the slot directory, never materializing references.
+    /// the slot directory, never materializing references. Each block runs
+    /// the shared row-scan kernel ([`smc_memory::scan`]), which prefetches
+    /// rows ahead of the cursor.
     ///
     /// When the collection has a spill store attached
     /// ([`enable_spill`](Self::enable_spill)), spilled pages are scanned
@@ -228,28 +231,19 @@ impl<T: Tabular> Smc<T> {
                 f(unsafe { &*obj.cast::<T>() });
                 n += 1;
             })?;
+        let stats = &self.ctx.runtime().stats;
+        let mut scan = |block: BlockRef| {
+            // SAFETY: valid slot of a snapshot block, read in the caller's
+            // pinned critical section.
+            n += scan_rows::<T>(block, stats, |_, obj| f(unsafe { &*obj }));
+        };
         for block in m.blocks {
-            n += self.scan_block(block, &mut f);
+            scan(block);
         }
         for group in m.groups {
-            visit_group(&group, guard, self.ctx.runtime(), &mut |block| {
-                n += self.scan_block(block, &mut f);
-            });
+            visit_group(&group, guard, self.ctx.runtime(), &mut scan);
         }
         Ok(n)
-    }
-
-    fn scan_block(&self, block: BlockRef, f: &mut impl FnMut(&T)) -> u64 {
-        let mut n = 0;
-        let cap = block.header().capacity;
-        for slot in 0..cap {
-            if block.slot_word(slot).state() == SlotState::Valid {
-                // SAFETY: valid slot in a pinned critical section.
-                f(unsafe { &*block.obj_ptr(slot).cast::<T>() });
-                n += 1;
-            }
-        }
-        n
     }
 
     /// Like [`for_each`](Self::for_each) but also hands out the checked
@@ -278,20 +272,20 @@ impl<T: Tabular> Smc<T> {
                 f(r, unsafe { &*obj.cast::<T>() });
                 n += 1;
             })?;
+        let stats = &self.ctx.runtime().stats;
         let mut scan = |block: BlockRef| {
-            let cap = block.header().capacity;
-            for slot in 0..cap {
-                if block.slot_word(slot).state() == SlotState::Valid {
-                    let back = block.back_ptr(slot).load(Ordering::Acquire);
-                    if back == 0 {
-                        continue;
-                    }
-                    let entry = unsafe { smc_memory::indirection::EntryRef::from_addr(back) };
-                    let r = Ref::from_parts(entry, entry.get().inc().incarnation());
-                    f(r, unsafe { &*block.obj_ptr(slot).cast::<T>() });
-                    n += 1;
+            scan_rows::<T>(block, stats, |slot, obj| {
+                let back = block.back_ptr(slot).load(Ordering::Acquire);
+                if back == 0 {
+                    return;
                 }
-            }
+                // SAFETY: a valid slot's non-zero back-pointer addresses its
+                // live indirection entry; the row is read as in `try_for_each`.
+                let entry = unsafe { smc_memory::indirection::EntryRef::from_addr(back) };
+                let r = Ref::from_parts(entry, entry.get().inc().incarnation());
+                f(r, unsafe { &*obj });
+                n += 1;
+            });
         };
         for block in m.blocks {
             scan(block);
@@ -412,26 +406,19 @@ impl<T: Tabular> Smc<T> {
         let retired: std::collections::HashSet<usize> =
             report.retired_bases.iter().copied().collect();
         let mut fixed = 0;
+        let stats = &self.ctx.runtime().stats;
         self.visit_blocks(guard, |block| {
-            let cap = block.header().capacity;
-            for slot in 0..cap {
-                if block.slot_word(slot).state() != SlotState::Valid {
-                    continue;
-                }
+            scan_rows::<T>(block, stats, |_, obj| {
                 // SAFETY: valid slot, pinned critical section; field updates
                 // race benignly under the collection's isolation level.
-                let obj = unsafe { &mut *block.obj_ptr(slot).cast::<T>() };
-                let dref = field(obj);
+                let dref = field(unsafe { &mut *obj });
                 let base = dref.addr() & !(smc_memory::BLOCK_SIZE - 1);
-                if !retired.contains(&base) {
-                    continue;
-                }
-                if dref.get_healing(guard).is_some() {
+                if retired.contains(&base) && dref.get_healing(guard).is_some() {
                     fixed += 1;
                 }
-            }
+            });
         });
-        MemoryStats::add(&self.ctx.runtime().stats.direct_pointers_fixed, fixed);
+        MemoryStats::add(&stats.direct_pointers_fixed, fixed);
         fixed
     }
 }

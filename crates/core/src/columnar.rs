@@ -20,7 +20,7 @@ use smc_memory::context::{Allocation, ContextConfig, MemoryContext};
 use smc_memory::epoch::Guard;
 use smc_memory::error::MemError;
 use smc_memory::runtime::Runtime;
-use smc_memory::slot::SlotState;
+use smc_memory::scan::scan_slots;
 use smc_memory::tabular::Tabular;
 
 use crate::refs::Ref;
@@ -297,14 +297,12 @@ impl<T: Columnar> ColumnarSmc<T> {
     /// Applies `f` to every live object, gathered from its columns.
     pub fn for_each(&self, guard: &Guard<'_>, mut f: impl FnMut(&T)) -> u64 {
         let mut n = 0;
+        let stats = &self.ctx.runtime().stats;
         self.for_each_block(guard, |cols, block| {
-            for slot in 0..block.header().capacity {
-                if block.slot_word(slot).state() == SlotState::Valid {
-                    let v = unsafe { T::gather(cols, slot as usize) };
-                    f(&v);
-                    n += 1;
-                }
-            }
+            n += scan_slots(*block, stats, |slot| {
+                // SAFETY: valid slot of a block of this collection.
+                f(&unsafe { T::gather(cols, slot as usize) });
+            });
         });
         n
     }

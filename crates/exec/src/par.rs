@@ -32,24 +32,18 @@ use std::sync::{Arc, Mutex};
 use smc::{visit_group, ColumnArrays, Columnar, ColumnarSmc, Smc, Tabular};
 use smc_memory::block::BlockRef;
 use smc_memory::context::Morsel;
-use smc_memory::slot::SlotState;
+use smc_memory::scan::scan_rows;
 use smc_memory::stats::MemoryStats;
 
 use crate::pool::WorkerPool;
 
-/// Scans one block's valid slots — the same fused loop `Smc::for_each`
-/// runs, executed by a worker on its claimed morsel.
-fn scan_block<T: Tabular>(block: &BlockRef, stats: &MemoryStats, mut f: impl FnMut(&T)) {
-    MemoryStats::inc(&stats.blocks_scanned);
-    let cap = block.header().capacity;
-    for slot in 0..cap {
-        if block.slot_word(slot).state() == SlotState::Valid {
-            // SAFETY: valid slot, read inside the worker's pinned critical
-            // section; the coordinator guard prevents relocation out of
-            // snapshot blocks for the duration of the scan (module docs).
-            f(unsafe { &*block.obj_ptr(slot).cast::<T>() });
-        }
-    }
+/// Scans one block's valid slots with the shared row-scan kernel — the loop
+/// `Smc::for_each` runs, executed by a worker on its claimed morsel.
+fn scan_block<T: Tabular>(block: BlockRef, stats: &MemoryStats, mut f: impl FnMut(&T)) {
+    // SAFETY: valid slot, read inside the worker's pinned critical section;
+    // the coordinator guard prevents relocation out of snapshot blocks for
+    // the duration of the scan (module docs).
+    scan_rows::<T>(block, stats, |_, obj| f(unsafe { &*obj }));
 }
 
 fn take_partials<A>(slots: Vec<Mutex<Option<A>>>) -> Vec<A> {
@@ -139,9 +133,9 @@ impl<'a, T: Tabular + Sync> ParScan<'a, T> {
                     morsel: i as u64,
                 });
                 match morsel {
-                    Morsel::Block(block) => scan_block(block, stats, |obj| body(&mut acc, obj)),
+                    Morsel::Block(block) => scan_block(*block, stats, |obj| body(&mut acc, obj)),
                     Morsel::Group(group) => visit_group(group, &guard, runtime, &mut |block| {
-                        scan_block(&block, stats, |obj| body(&mut acc, obj))
+                        scan_block(block, stats, |obj| body(&mut acc, obj))
                     }),
                 }
             }

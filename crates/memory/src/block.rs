@@ -154,7 +154,7 @@ pub struct BlockHeader {
     pub block_id: u64,
     /// Geometry (copied from [`BlockLayout`]).
     pub capacity: u32,
-    slot_stride: u32,
+    pub(crate) slot_stride: u32,
     obj_offset: u32,
     slotdir_offset: u32,
     backptr_offset: u32,
@@ -388,6 +388,22 @@ impl BlockRef {
                 .base()
                 .add(h.slotdir_offset as usize + slot as usize * 4)
                 .cast::<SlotWord>()
+        }
+    }
+
+    /// The whole slot directory, indexed by slot id.
+    #[inline]
+    pub(crate) fn slot_dir(&self) -> &[SlotWord] {
+        let h = self.header();
+        // SAFETY: the directory is `capacity` consecutive, initialized
+        // `SlotWord`s at `slotdir_offset` (BlockLayout::build).
+        unsafe {
+            std::slice::from_raw_parts(
+                self.base()
+                    .add(h.slotdir_offset as usize)
+                    .cast::<SlotWord>(),
+                h.capacity as usize,
+            )
         }
     }
 

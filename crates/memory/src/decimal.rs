@@ -3,10 +3,25 @@
 //! The paper's Q1 result hinges on `decimal` being a 16-byte type whose
 //! arithmetic is function-call-based, so that passing operands by pointer and
 //! mutating in place (possible only over self-managed memory) is a large win
-//! (§7, "Query processing"). This type reproduces the operand width and the
-//! call-based arithmetic: a 128-bit mantissa with a fixed scale of 4 decimal
-//! digits, which is exact for all TPC-H money and rate arithmetic used in
-//! Q1–Q6.
+//! (§7, "Query processing"). This type reproduces the operand width — a
+//! 128-bit mantissa with a fixed scale of 4 decimal digits, exact for all
+//! TPC-H money and rate arithmetic used in Q1–Q6 — but not the call cost:
+//! every operator is an inlined integer operation.
+//!
+//! Multiplication rescales the 128-bit product by `10^4`. A 128-bit division
+//! by a constant is not strength-reduced by LLVM and compiles to a call of
+//! `__divti3`, so [`Mul`] first checks whether the product fits in an `i64`
+//! (it always does for TPC-H values: prices below 10^6 and rates below 1
+//! keep the product of mantissas below 10^15) and then divides in `i64`,
+//! which compiles to a multiply and shifts. Products outside the `i64` range
+//! take the 128-bit divide. Both paths truncate toward zero, so the result is
+//! bit-identical to `(a * b) / 10^4` on the mantissas for every input; a
+//! seeded property test pins that.
+//!
+//! Fig 11's "SMC (unsafe C#)" Q1 still differs from the safe Q1 only in how
+//! operands reach the arithmetic (raw field pointers and in-place adds versus
+//! copies through `&T`); both variants share this `Mul`, so the cheaper
+//! multiply lowers both series and leaves their comparison like-for-like.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -151,7 +166,13 @@ impl Mul for Decimal {
     type Output = Decimal;
     #[inline]
     fn mul(self, rhs: Decimal) -> Decimal {
-        Decimal(self.0 * rhs.0 / ONE_MANTISSA)
+        let p = self.0 * rhs.0;
+        // Exact fast path (module docs): an `i64` divide by a constant is a
+        // multiply-shift; the `i128` divide is a library call.
+        match i64::try_from(p) {
+            Ok(p) => Decimal((p / ONE_MANTISSA as i64) as i128),
+            Err(_) => Decimal(p / ONE_MANTISSA),
+        }
     }
 }
 
@@ -281,6 +302,83 @@ mod tests {
         let mut cell = Decimal::from_int(1);
         unsafe { Decimal::add_in_place(&mut cell, Decimal::from_cents(50)) };
         assert_eq!(cell.to_string(), "1.5000");
+    }
+
+    /// The reference `Mul`: the 128-bit product divided in 128 bits.
+    fn mul_i128(a: i128, b: i128) -> i128 {
+        a * b / ONE_MANTISSA
+    }
+
+    #[test]
+    fn mul_matches_i128_division_for_random_mantissas() {
+        let mut rng = smc_util::Pcg32::seed_from_u64(0x0dec_13a1);
+        let i64max = i64::MAX as i128;
+        let (mut near_fast, mut near_slow) = (0u32, 0u32);
+        for i in 0..200_000u32 {
+            // Alternate magnitudes: TPC-H-sized values, full 32-bit values,
+            // and pairs whose product lands within a few units of ±i64::MAX
+            // (either side of the fast-path boundary).
+            let (a, b) = match i % 4 {
+                0 => (
+                    rng.gen_range(-10_000_000_000i64..10_000_000_000) as i128,
+                    rng.gen_range(-100_000i64..100_000) as i128,
+                ),
+                1 => (rng.next_u32() as i32 as i128, rng.next_u64() as i64 as i128),
+                _ => {
+                    let b = rng.gen_range(1i64..1 << 31) as i128;
+                    let target = i64max + rng.gen_range(-3i64 << 31..3i64 << 31) as i128;
+                    let a = target / b;
+                    let sa = if rng.next_u32() & 1 == 0 { a } else { -a };
+                    let sb = if rng.next_u32() & 1 == 0 { b } else { -b };
+                    (sa, sb)
+                }
+            };
+            if i % 4 >= 2 {
+                match i64::try_from(a * b) {
+                    Ok(_) => near_fast += 1,
+                    Err(_) => near_slow += 1,
+                }
+            }
+            let got = Decimal::from_mantissa(a) * Decimal::from_mantissa(b);
+            assert_eq!(got.mantissa(), mul_i128(a, b), "{a} * {b}");
+        }
+        // The boundary cases must land on both sides of the fast path.
+        assert!(
+            near_fast > 10_000 && near_slow > 10_000,
+            "{near_fast} / {near_slow}"
+        );
+    }
+
+    #[test]
+    fn mul_boundaries_are_exact() {
+        let edges = [
+            i64::MAX as i128,
+            i64::MAX as i128 + 1,
+            i64::MIN as i128,
+            i64::MIN as i128 - 1,
+            -(i64::MAX as i128),
+            1,
+            -1,
+            0,
+            ONE_MANTISSA,
+            ONE_MANTISSA - 1,
+            -(ONE_MANTISSA - 1),
+        ];
+        for &a in &edges {
+            for &b in &[1i128, -1, 2, -2, ONE_MANTISSA, -ONE_MANTISSA, 3] {
+                let got = Decimal::from_mantissa(a) * Decimal::from_mantissa(b);
+                assert_eq!(got.mantissa(), mul_i128(a, b), "{a} * {b}");
+            }
+        }
+        // Truncation toward zero on both sides of the fast path.
+        assert_eq!(
+            (Decimal::from_mantissa(-9_999) * Decimal::ONE).mantissa(),
+            -9_999
+        );
+        assert_eq!(
+            (Decimal::from_mantissa(-1) * Decimal::from_mantissa(9_999)).mantissa(),
+            0
+        );
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //!   earlier than epoch `e + 2`, when no thread can still observe it.
 //! * **Memory contexts** ([`context`]): per-collection groups of blocks that
 //!   give collections control over object placement and enumeration order.
+//! * **Row-scan kernel** ([`scan`]): the one valid-slot loop every block
+//!   enumeration runs, prefetching rows a fixed distance ahead of the cursor.
 //! * **Heap introspection** ([`inspect`]): lock-free, epoch-consistent
 //!   [`HeapSnapshot`]s of live contexts — per-block occupancy, limbo dead
 //!   space, holes, incarnation churn, indirection-table load and epoch lag —
@@ -72,6 +74,7 @@ pub mod inspect;
 pub mod mutation;
 pub mod reloc;
 pub mod runtime;
+pub mod scan;
 pub mod slot;
 pub mod spill;
 pub mod stats;

@@ -61,7 +61,10 @@ pub struct MemoryStats {
     /// Epoch guards taken by readers ([`Runtime::pin`](crate::runtime::Runtime::pin)
     /// and `try_pin`).
     pub pins_taken: AtomicU64,
-    /// Blocks enumerated by parallel scan workers.
+    /// Blocks enumerated by any scan: one per block pass of the row-scan
+    /// kernel ([`crate::scan`]) — sequential `for_each`/`for_each_ref`,
+    /// direct-pointer fix-up, columnar `for_each` and parallel scan workers
+    /// alike — plus one per block a parallel columnar scan hands its body.
     pub blocks_scanned: AtomicU64,
     /// Morsels (blocks or compaction groups) claimed from a parallel scan's
     /// work-stealing cursor.

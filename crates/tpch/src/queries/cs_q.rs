@@ -5,9 +5,8 @@
 //! (the paper's explanation for why SMC reference joins win the join-heavy
 //! queries while the RDBMS wins the index-selective ones).
 
-use std::collections::{HashMap, HashSet};
-
 use smc_memory::Decimal;
+use smc_util::hash::{IntMap, IntSet};
 
 use super::*;
 use crate::csdb::CsDb;
@@ -51,7 +50,7 @@ pub fn q1(db: &CsDb, p: &Params) -> Vec<Q1Row> {
 pub fn q2(db: &CsDb, p: &Params) -> Vec<Q2Row> {
     let _span = super::qspan("cs.q2");
     // region -> qualifying nation keys
-    let region_keys: HashSet<i64> = {
+    let region_keys: IntSet<i64> = {
         let names = db.region.str_column("r_name");
         let keys = db.region.i64_slice("r_regionkey");
         (0..db.region.rows())
@@ -59,7 +58,7 @@ pub fn q2(db: &CsDb, p: &Params) -> Vec<Q2Row> {
             .map(|r| keys[r])
             .collect()
     };
-    let nation_in_region: HashMap<i64, String> = {
+    let nation_in_region: IntMap<i64, String> = {
         let keys = db.nation.i64_slice("n_nationkey");
         let names = db.nation.str_column("n_name");
         let regions = db.nation.i64_slice("n_regionkey");
@@ -69,7 +68,7 @@ pub fn q2(db: &CsDb, p: &Params) -> Vec<Q2Row> {
             .collect()
     };
     // suppliers in the region: suppkey -> (name, acctbal, nation name)
-    let suppliers: HashMap<i64, (String, Decimal, String)> = {
+    let suppliers: IntMap<i64, (String, Decimal, String)> = {
         let keys = db.supplier.i64_slice("s_suppkey");
         let names = db.supplier.str_column("s_name");
         let nations = db.supplier.i64_slice("s_nationkey");
@@ -83,7 +82,7 @@ pub fn q2(db: &CsDb, p: &Params) -> Vec<Q2Row> {
             .collect()
     };
     // qualifying parts
-    let parts: HashSet<i64> = {
+    let parts: IntSet<i64> = {
         let keys = db.part.i64_slice("p_partkey");
         let sizes = db.part.i64_slice("p_size");
         let types = db.part.str_column("p_type");
@@ -95,7 +94,7 @@ pub fn q2(db: &CsDb, p: &Params) -> Vec<Q2Row> {
     let ps_part = db.partsupp.i64_slice("ps_partkey");
     let ps_supp = db.partsupp.i64_slice("ps_suppkey");
     let ps_cost = db.partsupp.decimal_slice("ps_supplycost");
-    let mut min_cost: HashMap<i64, Decimal> = HashMap::new();
+    let mut min_cost: IntMap<i64, Decimal> = IntMap::default();
     for row in 0..db.partsupp.rows() {
         if !parts.contains(&ps_part[row]) || !suppliers.contains_key(&ps_supp[row]) {
             continue;
@@ -130,7 +129,7 @@ pub fn q2(db: &CsDb, p: &Params) -> Vec<Q2Row> {
 /// Q3: segment filter → order hash table → pruned lineitem probe.
 pub fn q3(db: &CsDb, p: &Params) -> Vec<Q3Row> {
     let _span = super::qspan("cs.q3");
-    let custs: HashSet<i64> = {
+    let custs: IntSet<i64> = {
         let segs = db.customer.str_column("c_mktsegment");
         let keys = db.customer.i64_slice("c_custkey");
         // Dictionary fast path: compare codes, not strings.
@@ -147,7 +146,7 @@ pub fn q3(db: &CsDb, p: &Params) -> Vec<Q3Row> {
     let o_key = db.orders.i64_slice("o_orderkey");
     let o_cust = db.orders.i64_slice("o_custkey");
     let o_ship = db.orders.i64_slice("o_shippriority");
-    let mut order_info: HashMap<i64, (i32, i32)> = HashMap::new();
+    let mut order_info: IntMap<i64, (i32, i32)> = IntMap::default();
     for (start, end) in db
         .orders
         .prune("o_orderdate", i64::MIN, p.q3_date as i64 - 1)
@@ -163,7 +162,7 @@ pub fn q3(db: &CsDb, p: &Params) -> Vec<Q3Row> {
     let l_key = db.lineitem.i64_slice("l_orderkey");
     let l_price = db.lineitem.decimal_slice("l_extendedprice");
     let l_disc = db.lineitem.decimal_slice("l_discount");
-    let mut groups: HashMap<i64, Q3Row> = HashMap::new();
+    let mut groups: IntMap<i64, Q3Row> = IntMap::default();
     for (start, end) in db
         .lineitem
         .prune("l_shipdate", p.q3_date as i64 + 1, i64::MAX)
@@ -187,7 +186,7 @@ pub fn q3(db: &CsDb, p: &Params) -> Vec<Q3Row> {
                 });
         }
     }
-    q3_finalize(groups)
+    q3_finalize(groups.into_values())
 }
 
 /// Q4: pruned quarter of orders, semi-joined against late lineitems.
@@ -198,7 +197,7 @@ pub fn q4(db: &CsDb, p: &Params) -> Vec<Q4Row> {
     let l_commit = db.lineitem.i64_slice("l_commitdate");
     let l_receipt = db.lineitem.i64_slice("l_receiptdate");
     let l_key = db.lineitem.i64_slice("l_orderkey");
-    let mut late: HashSet<i64> = HashSet::new();
+    let mut late: IntSet<i64> = IntSet::default();
     for row in 0..db.lineitem.rows() {
         if l_commit[row] < l_receipt[row] {
             late.insert(l_key[row]);
@@ -234,7 +233,7 @@ pub fn q4(db: &CsDb, p: &Params) -> Vec<Q4Row> {
 pub fn q5(db: &CsDb, p: &Params) -> Vec<Q5Row> {
     let _span = super::qspan("cs.q5");
     let end = plus_months(p.q5_date, 12);
-    let region_keys: HashSet<i64> = {
+    let region_keys: IntSet<i64> = {
         let names = db.region.str_column("r_name");
         let keys = db.region.i64_slice("r_regionkey");
         (0..db.region.rows())
@@ -242,7 +241,7 @@ pub fn q5(db: &CsDb, p: &Params) -> Vec<Q5Row> {
             .map(|r| keys[r])
             .collect()
     };
-    let nations: HashMap<i64, String> = {
+    let nations: IntMap<i64, String> = {
         let keys = db.nation.i64_slice("n_nationkey");
         let names = db.nation.str_column("n_name");
         let regions = db.nation.i64_slice("n_regionkey");
@@ -251,7 +250,7 @@ pub fn q5(db: &CsDb, p: &Params) -> Vec<Q5Row> {
             .map(|r| (keys[r], names.get(r).to_string()))
             .collect()
     };
-    let supp_nation: HashMap<i64, i64> = {
+    let supp_nation: IntMap<i64, i64> = {
         let keys = db.supplier.i64_slice("s_suppkey");
         let nkeys = db.supplier.i64_slice("s_nationkey");
         (0..db.supplier.rows())
@@ -259,7 +258,7 @@ pub fn q5(db: &CsDb, p: &Params) -> Vec<Q5Row> {
             .map(|r| (keys[r], nkeys[r]))
             .collect()
     };
-    let cust_nation: HashMap<i64, i64> = {
+    let cust_nation: IntMap<i64, i64> = {
         let keys = db.customer.i64_slice("c_custkey");
         let nkeys = db.customer.i64_slice("c_nationkey");
         (0..db.customer.rows())
@@ -270,7 +269,7 @@ pub fn q5(db: &CsDb, p: &Params) -> Vec<Q5Row> {
     let o_date = db.orders.i64_values("o_orderdate");
     let o_key = db.orders.i64_slice("o_orderkey");
     let o_cust = db.orders.i64_slice("o_custkey");
-    let mut order_cust_nation: HashMap<i64, i64> = HashMap::new();
+    let mut order_cust_nation: IntMap<i64, i64> = IntMap::default();
     for (start, end_row) in db
         .orders
         .prune("o_orderdate", p.q5_date as i64, end as i64 - 1)
@@ -285,7 +284,7 @@ pub fn q5(db: &CsDb, p: &Params) -> Vec<Q5Row> {
     let l_supp = db.lineitem.i64_slice("l_suppkey");
     let l_price = db.lineitem.decimal_slice("l_extendedprice");
     let l_disc = db.lineitem.decimal_slice("l_discount");
-    let mut groups: HashMap<String, Decimal> = HashMap::new();
+    let mut groups: IntMap<i64, Q5Row> = IntMap::default();
     for row in 0..db.lineitem.rows() {
         let Some(&cnation) = order_cust_nation.get(&l_key[row]) else {
             continue;
@@ -297,9 +296,15 @@ pub fn q5(db: &CsDb, p: &Params) -> Vec<Q5Row> {
             continue;
         }
         let revenue = dec(l_price[row]) * (Decimal::ONE - dec(l_disc[row]));
-        *groups.entry(nations[&snation].clone()).or_default() += revenue;
+        groups
+            .entry(snation)
+            .or_insert_with(|| Q5Row {
+                nation: nations[&snation].clone(),
+                revenue: Decimal::ZERO,
+            })
+            .revenue += revenue;
     }
-    q5_finalize(groups)
+    q5_finalize(groups.into_values())
 }
 
 /// Q6: the RDBMS showcase — pruned scan on the clustered shipdate.

@@ -2,9 +2,8 @@
 //! `ConcurrentDictionary` baselines, with the same compiled plans as the
 //! SMC versions but enumerating handle lists and chasing arena pointers.
 
-use std::collections::{HashMap, HashSet};
-
 use smc_memory::Decimal;
+use smc_util::hash::{IntMap, IntSet};
 
 use super::*;
 use crate::gcdb::GcDb;
@@ -52,7 +51,7 @@ pub fn q1(db: &GcDb, p: &Params, via: EnumVia) -> Vec<Q1Row> {
 pub fn q2(db: &GcDb, p: &Params) -> Vec<Q2Row> {
     let _span = super::qspan("gc.q2");
     let guard = db.heap.enter();
-    let mut min_cost: HashMap<i64, Decimal> = HashMap::new();
+    let mut min_cost: IntMap<i64, Decimal> = IntMap::default();
     db.partsupps.for_each(&guard, |ps| {
         let Some(part) = db.part_arena.get(ps.part) else {
             return;
@@ -114,7 +113,7 @@ pub fn q3(db: &GcDb, p: &Params, via: EnumVia) -> Vec<Q3Row> {
         .iter()
         .position(|s| *s == p.q3_segment)
         .unwrap() as u8;
-    let mut groups: HashMap<i64, Q3Row> = HashMap::new();
+    let mut groups: IntMap<i64, Q3Row> = IntMap::default();
     for_each_lineitem(db, via, |l| {
         if l.shipdate <= p.q3_date {
             return;
@@ -142,14 +141,14 @@ pub fn q3(db: &GcDb, p: &Params, via: EnumVia) -> Vec<Q3Row> {
                 shippriority: o.shippriority,
             });
     });
-    q3_finalize(groups)
+    q3_finalize(groups.into_values())
 }
 
 /// Q4 over the managed database.
 pub fn q4(db: &GcDb, p: &Params, via: EnumVia) -> Vec<Q4Row> {
     let _span = super::qspan("gc.q4");
     let end = plus_months(p.q4_date, 3);
-    let mut late: HashSet<i64> = HashSet::new();
+    let mut late: IntSet<i64> = IntSet::default();
     let mut counts = [0u64; 5];
     for_each_lineitem(db, via, |l| {
         if l.commitdate >= l.receiptdate || late.contains(&l.orderkey) {
@@ -171,7 +170,7 @@ pub fn q4(db: &GcDb, p: &Params, via: EnumVia) -> Vec<Q4Row> {
 pub fn q5(db: &GcDb, p: &Params, via: EnumVia) -> Vec<Q5Row> {
     let _span = super::qspan("gc.q5");
     let end = plus_months(p.q5_date, 12);
-    let mut groups: HashMap<String, Decimal> = HashMap::new();
+    let mut groups: IntMap<i64, Q5Row> = IntMap::default();
     for_each_lineitem(db, via, |l| {
         let Some(o) = db.order_arena.get(l.order) else {
             return;
@@ -198,9 +197,15 @@ pub fn q5(db: &GcDb, p: &Params, via: EnumVia) -> Vec<Q5Row> {
             return;
         }
         let revenue = l.extendedprice * (Decimal::ONE - l.discount);
-        *groups.entry(n.name.clone()).or_default() += revenue;
+        groups
+            .entry(s.nationkey)
+            .or_insert_with(|| Q5Row {
+                nation: n.name.clone(),
+                revenue: Decimal::ZERO,
+            })
+            .revenue += revenue;
     });
-    q5_finalize(groups)
+    q5_finalize(groups.into_values())
 }
 
 /// Q6 over the managed database.

@@ -11,7 +11,10 @@
 //!
 //! Every implementation returns the same row types with exact `Decimal`
 //! arithmetic, so the test suite asserts bit-identical answers across all
-//! backends — the strongest cross-validation the reproduction has.
+//! backends — the strongest cross-validation the reproduction has. Joins and
+//! group-bys keyed by integer keys use [`smc_util::hash::IntMap`] /
+//! [`IntSet`](smc_util::hash::IntSet) on every backend, so the Fig 11/13
+//! comparisons pay the same hashing cost everywhere.
 
 pub mod cs_q;
 pub mod gc_q;
@@ -261,9 +264,11 @@ pub struct Q3Row {
     pub shippriority: i32,
 }
 
-/// Sorts and truncates Q3 rows (revenue desc, orderdate; top 10).
-pub fn q3_finalize(groups: std::collections::HashMap<i64, Q3Row>) -> Vec<Q3Row> {
-    let mut rows: Vec<Q3Row> = groups.into_values().collect();
+/// Sorts and truncates Q3 rows (revenue desc, orderdate; top 10). Takes the
+/// group rows from any source, e.g. `groups.into_values()` of a map with
+/// any hasher.
+pub fn q3_finalize(groups: impl IntoIterator<Item = Q3Row>) -> Vec<Q3Row> {
+    let mut rows: Vec<Q3Row> = groups.into_iter().collect();
     rows.sort_by(|a, b| {
         b.revenue
             .cmp(&a.revenue)
@@ -305,12 +310,10 @@ pub struct Q5Row {
     pub revenue: Decimal,
 }
 
-/// Sorts Q5 rows by revenue descending.
-pub fn q5_finalize(groups: std::collections::HashMap<String, Decimal>) -> Vec<Q5Row> {
-    let mut rows: Vec<Q5Row> = groups
-        .into_iter()
-        .map(|(nation, revenue)| Q5Row { nation, revenue })
-        .collect();
+/// Sorts Q5 rows by revenue descending (one row per nation, from any
+/// source — e.g. `groups.into_values()` of a map keyed by nation key).
+pub fn q5_finalize(groups: impl IntoIterator<Item = Q5Row>) -> Vec<Q5Row> {
+    let mut rows: Vec<Q5Row> = groups.into_iter().collect();
     rows.sort_by(|a, b| {
         b.revenue
             .cmp(&a.revenue)
@@ -370,10 +373,22 @@ mod tests {
             },
         ]);
         assert_eq!(rows[0].partkey, 2, "highest acctbal first");
-        let mut groups = std::collections::HashMap::new();
-        groups.insert("X".to_string(), Decimal::from_int(3));
-        groups.insert("Y".to_string(), Decimal::from_int(9));
-        let q5 = q5_finalize(groups);
+        let q5 = q5_finalize([("X", 3), ("Y", 9)].map(|(nation, revenue)| Q5Row {
+            nation: nation.to_string(),
+            revenue: Decimal::from_int(revenue),
+        }));
         assert_eq!(q5[0].nation, "Y");
+        let row = |orderkey, revenue| Q3Row {
+            orderkey,
+            revenue: Decimal::from_int(revenue),
+            orderdate: 0,
+            shippriority: 0,
+        };
+        let q3 = q3_finalize(vec![row(1, 5), row(2, 7), row(3, 7)]);
+        assert_eq!(
+            q3.iter().map(|r| r.orderkey).collect::<Vec<_>>(),
+            [2, 3, 1],
+            "revenue desc, then orderkey"
+        );
     }
 }

@@ -15,10 +15,10 @@
 //! Plus `q1_linq`/`q6_linq`: the interpreted LINQ-to-objects engine, for
 //! the §7 "40–400 % slower" comparison.
 
-use std::collections::{HashMap, HashSet};
-
+use smc_memory::scan::scan_rows;
 use smc_memory::{Decimal, SlotState};
 use smc_query::LinqExt;
+use smc_util::hash::{IntMap, IntSet};
 
 use super::*;
 use crate::smcdb::{licol, SmcDb};
@@ -56,18 +56,15 @@ pub fn q1_unsafe(db: &SmcDb, p: &Params) -> Vec<Q1Row> {
     let _guard = db.runtime.pin();
     let mut table = [Q1Acc::default(); 6];
     let m = db.lineitems.context().membership_snapshot();
-    for block in &m.blocks {
-        let cap = block.header().capacity;
-        for slot in 0..cap {
-            if block.slot_word(slot).state() != SlotState::Valid {
-                continue;
-            }
+    for &block in &m.blocks {
+        // The same row-scan kernel as the safe `q1`, so Fig 11 compares only
+        // how fields reach the decimal arithmetic.
+        scan_rows::<crate::smcdb::Lineitem>(block, &db.runtime.stats, |_, l| {
             // SAFETY: valid slot under an epoch guard; raw field pointers
             // into the block, as the generated unsafe code would emit.
             unsafe {
-                let l = block.obj_ptr(slot).cast::<crate::smcdb::Lineitem>();
                 if (*l).shipdate > cutoff {
-                    continue;
+                    return;
                 }
                 let acc = &mut table[q1_slot((*l).returnflag, (*l).linestatus)];
                 let price = std::ptr::addr_of!((*l).extendedprice).read();
@@ -83,7 +80,7 @@ pub fn q1_unsafe(db: &SmcDb, p: &Params) -> Vec<Q1Row> {
                 Decimal::add_in_place(&mut acc.sum_discount, discount);
                 acc.count += 1;
             }
-        }
+        });
     }
     q1_rows_from_table(&table)
 }
@@ -157,7 +154,7 @@ pub fn q2(db: &SmcDb, p: &Params) -> Vec<Q2Row> {
     let _span = super::qspan("smc.q2");
     let guard = db.runtime.pin();
     // Pass 1: minimum supply cost per qualifying part in the region.
-    let mut min_cost: HashMap<i64, Decimal> = HashMap::new();
+    let mut min_cost: IntMap<i64, Decimal> = IntMap::default();
     db.partsupps.for_each(&guard, |ps| {
         let Some(part) = ps.part.get(&guard) else {
             return;
@@ -226,7 +223,7 @@ pub fn q3(db: &SmcDb, p: &Params) -> Vec<Q3Row> {
         .iter()
         .position(|s| *s == p.q3_segment)
         .unwrap() as u8;
-    let mut groups: HashMap<i64, Q3Row> = HashMap::new();
+    let mut groups: IntMap<i64, Q3Row> = IntMap::default();
     db.lineitems.for_each(&guard, |l| {
         if l.shipdate <= p.q3_date {
             return;
@@ -252,7 +249,7 @@ pub fn q3(db: &SmcDb, p: &Params) -> Vec<Q3Row> {
                 shippriority: o.shippriority,
             });
     });
-    q3_finalize(groups)
+    q3_finalize(groups.into_values())
 }
 
 /// Q3 with §6 direct-pointer joins.
@@ -263,7 +260,7 @@ pub fn q3_direct(db: &SmcDb, p: &Params) -> Vec<Q3Row> {
         .iter()
         .position(|s| *s == p.q3_segment)
         .unwrap() as u8;
-    let mut groups: HashMap<i64, Q3Row> = HashMap::new();
+    let mut groups: IntMap<i64, Q3Row> = IntMap::default();
     db.lineitems.for_each(&guard, |l| {
         if l.shipdate <= p.q3_date {
             return;
@@ -291,7 +288,7 @@ pub fn q3_direct(db: &SmcDb, p: &Params) -> Vec<Q3Row> {
                 shippriority: o.shippriority,
             });
     });
-    q3_finalize(groups)
+    q3_finalize(groups.into_values())
 }
 
 /// Q3 over columnar lineitems (refs gathered from the reference column).
@@ -303,7 +300,7 @@ pub fn q3_columnar(db: &SmcDb, p: &Params) -> Vec<Q3Row> {
         .iter()
         .position(|s| *s == p.q3_segment)
         .unwrap() as u8;
-    let mut groups: HashMap<i64, Q3Row> = HashMap::new();
+    let mut groups: IntMap<i64, Q3Row> = IntMap::default();
     col.for_each_block(&guard, |cols, block| {
         let cap = block.header().capacity as usize;
         // SAFETY: column indices/types match LineitemCol.
@@ -345,7 +342,7 @@ pub fn q3_columnar(db: &SmcDb, p: &Params) -> Vec<Q3Row> {
             }
         }
     });
-    q3_finalize(groups)
+    q3_finalize(groups.into_values())
 }
 
 // ---------------------------------------------------------------------
@@ -359,14 +356,12 @@ pub fn q4(db: &SmcDb, p: &Params) -> Vec<Q4Row> {
     let guard = db.runtime.pin();
     let end = plus_months(p.q4_date, 3);
     // Distinct orders with at least one late lineitem, restricted to the
-    // quarter through the order reference.
-    let mut late: HashSet<i64> = HashSet::new();
-    let mut priorities: HashMap<i64, u8> = HashMap::new();
+    // quarter through the order reference; each is counted once, under its
+    // priority, when first seen.
+    let mut late: IntSet<i64> = IntSet::default();
+    let mut counts = [0u64; 5];
     db.lineitems.for_each(&guard, |l| {
-        if l.commitdate >= l.receiptdate {
-            return;
-        }
-        if late.contains(&l.orderkey) {
+        if l.commitdate >= l.receiptdate || late.contains(&l.orderkey) {
             return;
         }
         let Some(o) = l.order.get(&guard) else { return };
@@ -374,12 +369,8 @@ pub fn q4(db: &SmcDb, p: &Params) -> Vec<Q4Row> {
             return;
         }
         late.insert(l.orderkey);
-        priorities.insert(l.orderkey, o.orderpriority);
+        counts[o.orderpriority as usize] += 1;
     });
-    let mut counts = [0u64; 5];
-    for (_, pri) in priorities {
-        counts[pri as usize] += 1;
-    }
     q4_finalize(counts)
 }
 
@@ -388,7 +379,7 @@ pub fn q4_direct(db: &SmcDb, p: &Params) -> Vec<Q4Row> {
     let _span = super::qspan("smc.q4_direct");
     let guard = db.runtime.pin();
     let end = plus_months(p.q4_date, 3);
-    let mut late: HashSet<i64> = HashSet::new();
+    let mut late: IntSet<i64> = IntSet::default();
     let mut counts = [0u64; 5];
     db.lineitems.for_each(&guard, |l| {
         if l.commitdate >= l.receiptdate || late.contains(&l.orderkey) {
@@ -410,6 +401,15 @@ pub fn q4_direct(db: &SmcDb, p: &Params) -> Vec<Q4Row> {
 // Q5 — local supplier volume
 // ---------------------------------------------------------------------
 
+/// The Q5 group of nation `key`, created (with its name) on first use, so
+/// the name is copied once per nation rather than once per matching line.
+fn q5_group<'a>(groups: &'a mut IntMap<i64, Q5Row>, key: i64, name: &str) -> &'a mut Q5Row {
+    groups.entry(key).or_insert_with(|| Q5Row {
+        nation: name.to_string(),
+        revenue: Decimal::ZERO,
+    })
+}
+
 /// Q5, compiled safe: reference joins lineitem → supplier → nation →
 /// region and lineitem → order → customer, with the spec's
 /// customer-nation = supplier-nation condition.
@@ -417,7 +417,7 @@ pub fn q5(db: &SmcDb, p: &Params) -> Vec<Q5Row> {
     let _span = super::qspan("smc.q5");
     let guard = db.runtime.pin();
     let end = plus_months(p.q5_date, 12);
-    let mut groups: HashMap<String, Decimal> = HashMap::new();
+    let mut groups: IntMap<i64, Q5Row> = IntMap::default();
     db.lineitems.for_each(&guard, |l| {
         let Some(o) = l.order.get(&guard) else { return };
         if o.orderdate < p.q5_date || o.orderdate >= end {
@@ -442,9 +442,9 @@ pub fn q5(db: &SmcDb, p: &Params) -> Vec<Q5Row> {
             return;
         }
         let revenue = l.extendedprice * (Decimal::ONE - l.discount);
-        *groups.entry(n.name.as_str().to_string()).or_default() += revenue;
+        q5_group(&mut groups, s.nationkey, n.name.as_str()).revenue += revenue;
     });
-    q5_finalize(groups)
+    q5_finalize(groups.into_values())
 }
 
 /// Q5 with direct-pointer joins where available.
@@ -452,7 +452,7 @@ pub fn q5_direct(db: &SmcDb, p: &Params) -> Vec<Q5Row> {
     let _span = super::qspan("smc.q5_direct");
     let guard = db.runtime.pin();
     let end = plus_months(p.q5_date, 12);
-    let mut groups: HashMap<String, Decimal> = HashMap::new();
+    let mut groups: IntMap<i64, Q5Row> = IntMap::default();
     db.lineitems.for_each(&guard, |l| {
         let Some(o) = l.order_d.and_then(|d| d.get(&guard)) else {
             return;
@@ -479,9 +479,9 @@ pub fn q5_direct(db: &SmcDb, p: &Params) -> Vec<Q5Row> {
             return;
         }
         let revenue = l.extendedprice * (Decimal::ONE - l.discount);
-        *groups.entry(n.name.as_str().to_string()).or_default() += revenue;
+        q5_group(&mut groups, s.nationkey, n.name.as_str()).revenue += revenue;
     });
-    q5_finalize(groups)
+    q5_finalize(groups.into_values())
 }
 
 /// Q5 over columnar lineitems.
@@ -490,7 +490,7 @@ pub fn q5_columnar(db: &SmcDb, p: &Params) -> Vec<Q5Row> {
     let col = db.lineitems_col.as_ref().expect("columnar twin not loaded");
     let guard = db.runtime.pin();
     let end = plus_months(p.q5_date, 12);
-    let mut groups: HashMap<String, Decimal> = HashMap::new();
+    let mut groups: IntMap<i64, Q5Row> = IntMap::default();
     col.for_each_block(&guard, |cols, block| {
         let cap = block.header().capacity as usize;
         // SAFETY: column indices/types match LineitemCol.
@@ -529,11 +529,11 @@ pub fn q5_columnar(db: &SmcDb, p: &Params) -> Vec<Q5Row> {
                     continue;
                 }
                 let revenue = prices[slot] * (Decimal::ONE - discounts[slot]);
-                *groups.entry(n.name.as_str().to_string()).or_default() += revenue;
+                q5_group(&mut groups, s.nationkey, n.name.as_str()).revenue += revenue;
             }
         }
     });
-    q5_finalize(groups)
+    q5_finalize(groups.into_values())
 }
 
 // ---------------------------------------------------------------------

@@ -13,14 +13,20 @@
 //! OOM recovery ladder — and [`spsc`], the bounded lock-free
 //! single-producer/single-consumer ring the serve layer uses to route
 //! requests from connection threads to shard threads.
+//!
+//! And [`hash`] — [`IntMap`]/[`IntSet`], hash tables with a small unkeyed
+//! integer hasher, used by the TPC-H query plans' key-based joins and
+//! group-bys in place of `SipHash`.
 
 #![warn(missing_docs)]
 
 pub mod backoff;
+pub mod hash;
 pub mod rng;
 pub mod spsc;
 pub mod sync;
 
 pub use backoff::Backoff;
+pub use hash::{IntMap, IntSet};
 pub use rng::Pcg32;
 pub use sync::{Mutex, RwLock};
